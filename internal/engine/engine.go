@@ -209,6 +209,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			})
 		}
 	}
+	cached := opts.Cache != nil && opts.Cache.Net() == net
 	build := func(mode translate.Mode) (*translate.System, *pds.Auto) {
 		topts := translate.Options{
 			Mode:         mode,
@@ -217,7 +218,7 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			NoReductions: opts.NoReductions,
 			Slice:        !opts.NoSlice,
 		}
-		if opts.Cache != nil && opts.Cache.Net() == net {
+		if cached {
 			return opts.Cache.Get(q, topts)
 		}
 		sys := translate.Build(net, q, topts)
@@ -314,7 +315,13 @@ func verifyCtx(ctx context.Context, net *network.Network, q *query.Query, opts O
 			return res, err
 		}
 		tb := time.Now()
-		_, overInit = build(translate.Over)
+		if cached {
+			_, overInit = build(translate.Over)
+		} else {
+			// Rebuilding the system would only repeat the translation:
+			// the partial saturation consumed the automaton, not the PDS.
+			overInit = over.InitAuto()
+		}
 		res.Stats.BuildTime += time.Since(tb)
 		t := time.Now()
 		overRes, err = sat(over.PDS, overInit, over.Dim, opts.Budget)

@@ -8,6 +8,7 @@ import (
 	"aalwines/internal/labels"
 	"aalwines/internal/network"
 	"aalwines/internal/nfa"
+	"aalwines/internal/obs"
 	"aalwines/internal/query"
 	"aalwines/internal/routing"
 	"aalwines/internal/topology"
@@ -450,6 +451,33 @@ func TestWeightedGuidedSearchAvoidsUnder(t *testing.T) {
 	}
 	if unweighted.Stats.UnderUsed && overOnly.Verdict != engine.Inconclusive {
 		t.Errorf("over-only verdict = %v, want inconclusive when dual needed the fallback", overOnly.Verdict)
+	}
+}
+
+// TestEarlyFallbackTranslatesOnce pins the uncached early-accept fallback:
+// when the partial saturation's witness does not validate, the engine
+// re-saturates from a fresh initial automaton of the system it already
+// built instead of translating the whole network again. Each build
+// computes the query's slice once, so the slice counter moves by exactly
+// one slice's worth of routers. OverOnly keeps the under-approximation
+// (a second, legitimate build) out of the count.
+func TestEarlyFallbackTranslatesOnce(t *testing.T) {
+	s := gen.Nordunet(gen.NordOpts{Services: 1, EdgeRouters: 10, Seed: 1})
+	fallbacks := obs.GetCounter("engine_early_accept_fallback_total")
+	kept := obs.GetCounter("translate_slice_routers_kept_total")
+	f0, k0 := fallbacks.Value(), kept.Value()
+	res, err := engine.VerifyText(s.Net, "<smpls? ip> .* [hel1#tam1] .* [sto1#osl2] .* <. ip> 1", engine.Options{OverOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := fallbacks.Value() - f0; d != 1 {
+		t.Fatalf("early-accept fallbacks = %d, want 1 (verdict %v)", d, res.Verdict)
+	}
+	if !res.Stats.Slice.Active || res.Stats.Slice.RoutersKept == 0 {
+		t.Fatalf("slice stats = %+v, want an active slice", res.Stats.Slice)
+	}
+	if d := kept.Value() - k0; d != int64(res.Stats.Slice.RoutersKept) {
+		t.Errorf("slice routers kept grew by %d, want %d (one slice computation)", d, res.Stats.Slice.RoutersKept)
 	}
 }
 

@@ -102,6 +102,18 @@ func (s *Set) Clone() *Set {
 	return out
 }
 
+// Lift returns a copy of s in a universe of n ≥ Universe() symbols. It
+// copies words instead of re-adding members, so lifting a dense set over a
+// large label alphabet costs one allocation and a memmove.
+func (s *Set) Lift(n int) *Set {
+	if n < s.n {
+		panic(fmt.Sprintf("nfa: cannot lift a set over %d symbols into %d", s.n, n))
+	}
+	out := NewSet(n)
+	copy(out.words, s.words)
+	return out
+}
+
 // Union returns s ∪ o as a new set.
 func (s *Set) Union(o *Set) *Set {
 	out := s.Clone()

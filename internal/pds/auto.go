@@ -194,6 +194,12 @@ func (a *Auto) growEdges(se *stateEdges) {
 	se.meta = append(nm, se.meta...)
 }
 
+// spareStates is the state capacity NewAuto reserves beyond the PDS
+// control states. An initial automaton adds a few states of its own (one
+// per precondition-NFA state, plus one); without the spare room the first
+// of them copies the whole PDS-sized state array.
+const spareStates = 16
+
 // NewAuto returns an automaton whose first n states mirror the PDS control
 // states, with no transitions and no accepting states.
 func NewAuto(p *PDS) *Auto {
@@ -202,8 +208,8 @@ func NewAuto(p *PDS) *Auto {
 		PDSStates: n,
 		NumSyms:   p.NumSyms,
 		numStates: n,
-		accept:    make([]bool, n),
-		states:    make([]stateEdges, n),
+		accept:    make([]bool, n, n+spareStates),
+		states:    make([]stateEdges, n, n+spareStates),
 		setIdx:    make(map[string]Sym),
 	}
 }
@@ -417,8 +423,8 @@ func (a *Auto) takeProbes() int64 {
 }
 
 // AddEdge inserts an initial (pre-saturation) transition over a concrete
-// symbol. Initial automata used as post* input must not have transitions
-// into PDS control states.
+// symbol, or over a symbol set interned with VirtualSym. Initial automata
+// used as post* input must not have transitions into PDS control states.
 func (a *Auto) AddEdge(from State, sym Sym, to State) {
 	t := Trans{from, sym, to}
 	a.Insert(t, nil, &Witness{Kind: WitInitial, Rule: -1, T: t})
@@ -427,15 +433,6 @@ func (a *Auto) AddEdge(from State, sym Sym, to State) {
 // AddEdgeW inserts an initial transition carrying a weight.
 func (a *Auto) AddEdgeW(from State, sym Sym, to State, w []uint64) {
 	t := Trans{from, sym, to}
-	a.Insert(t, w, &Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
-}
-
-// AddSetEdge inserts an initial transition that admits every symbol in set.
-func (a *Auto) AddSetEdge(from State, set *nfa.Set, to State, w []uint64) {
-	if set.IsEmpty() {
-		return
-	}
-	t := Trans{from, a.VirtualSym(set), to}
 	a.Insert(t, w, &Witness{Kind: WitInitial, Rule: -1, T: t, Weight: w})
 }
 

@@ -37,20 +37,32 @@ const (
 	PushRule
 )
 
-// Rule is a normalised pushdown rule. Weight is the rule's weight vector in
-// the lexicographic min-plus semiring (nil means the semiring one, i.e. no
-// cost) and is ignored by the unweighted algorithms. Tag is an opaque
-// reference for the translator: it identifies the network-level action the
-// rule encodes so witness rule sequences can be replayed into traces.
+// WeightID refers to a weight vector in a PDS's weight table. NoWeight
+// means the semiring one (no cost).
+type WeightID uint32
+
+// NoWeight is the WeightID of a rule without a weight vector.
+const NoWeight WeightID = 0
+
+// Rule is a normalised pushdown rule. Weight refers to the rule's weight
+// vector in the lexicographic min-plus semiring, stored in the owning PDS's
+// weight table (see PDS.Weight); the unweighted algorithms ignore it. Tag
+// is an opaque reference for the translator: it identifies the
+// network-level action the rule encodes so witness rule sequences can be
+// replayed into traces.
+//
+// A Rule is 32 bytes and holds no pointer, so a paper-scale rule array
+// (over half a million rules) is a single no-scan allocation that the
+// garbage collector never has to trace.
 type Rule struct {
 	FromState State
 	FromSym   Sym
 	ToState   State
-	Kind      RuleKind
 	Sym1      Sym // swap: the new top; push: the new top γ′
 	Sym2      Sym // push only: the symbol below the new top γ″
-	Weight    []uint64
 	Tag       int32
+	Weight    WeightID
+	Kind      RuleKind
 }
 
 // String renders the rule for diagnostics.
@@ -71,6 +83,12 @@ type PDS struct {
 	NumStates int
 	NumSyms   int
 	Rules     []Rule
+
+	// Weight table: weights[(id-1)*weightDim : id*weightDim] is the vector
+	// of WeightID id. One flat array keeps rules pointer-free without a
+	// slice header per weighted rule.
+	weights   []uint64
+	weightDim int
 
 	// Packed rule indexes, built by Freeze or lazily on first use. Both
 	// are CSR-style: one flat int32 array of rule indices plus offsets,
@@ -120,9 +138,45 @@ func (p *PDS) AddRule(r Rule) {
 	p.byHead, p.headIdx = nil, nil
 }
 
+// AddWeight appends a weight vector to the weight table and returns its id.
+// An empty vector is the semiring one and maps to NoWeight. All vectors of
+// one PDS share a dimension.
+func (p *PDS) AddWeight(w []uint64) WeightID {
+	if len(w) == 0 {
+		return NoWeight
+	}
+	if p.weightDim == 0 {
+		p.weightDim = len(w)
+	} else if len(w) != p.weightDim {
+		panic(fmt.Sprintf("pds: weight %v has dimension %d, table has %d", w, len(w), p.weightDim))
+	}
+	p.weights = append(p.weights, w...)
+	return WeightID(len(p.weights) / p.weightDim)
+}
+
+// Weight returns the vector of a weight id; nil for NoWeight. The slice is
+// shared with the table and must not be modified.
+func (p *PDS) Weight(id WeightID) []uint64 {
+	if id == NoWeight {
+		return nil
+	}
+	hi := int(id) * p.weightDim
+	return p.weights[hi-p.weightDim : hi : hi]
+}
+
+// NumWeights returns the number of vectors in the weight table; the ids in
+// use are 1..NumWeights.
+func (p *PDS) NumWeights() int {
+	if p.weightDim == 0 {
+		return 0
+	}
+	return len(p.weights) / p.weightDim
+}
+
 // ReserveRules pre-sizes the rule slice for about n rules. Translation
-// knows the network's rule count up front; reserving once avoids the
-// append-doubling churn that dominated build allocations at paper scale.
+// counts the rules it will emit before emitting them; reserving once
+// avoids the append-doubling churn that dominated build allocations at
+// paper scale.
 func (p *PDS) ReserveRules(n int) {
 	if cap(p.Rules) >= n {
 		return
@@ -130,6 +184,21 @@ func (p *PDS) ReserveRules(n int) {
 	rules := make([]Rule, len(p.Rules), n)
 	copy(rules, p.Rules)
 	p.Rules = rules
+}
+
+// Filter keeps the rules for which keep returns true, preserving their
+// order, and drops the rule indexes built over the old rule list. The
+// weight table is kept: surviving rules still refer to it.
+func (p *PDS) Filter(keep func(r *Rule) bool) {
+	kept := p.Rules[:0]
+	for i := range p.Rules {
+		if keep(&p.Rules[i]) {
+			kept = append(kept, p.Rules[i])
+		}
+	}
+	p.Rules = kept
+	p.stateOff, p.stateIdx = nil, nil
+	p.byHead, p.headIdx = nil, nil
 }
 
 // Freeze eagerly builds the rule indexes. A PDS shared by concurrent

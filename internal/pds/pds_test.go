@@ -319,10 +319,10 @@ func TestWeightedMinimum(t *testing.T) {
 	// States: 0 (start), 1 (via cheap), 2 (via costly), 3 (goal).
 	// Symbols: 0 = x, 1 = ⊥.
 	p := New(4, 2)
-	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: SwapRule, Sym1: 0, Weight: []uint64{1}, Tag: 1})
-	p.AddRule(Rule{FromState: 1, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: []uint64{1}, Tag: 2})
-	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 2, Kind: SwapRule, Sym1: 0, Weight: []uint64{5}, Tag: 3})
-	p.AddRule(Rule{FromState: 2, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: []uint64{5}, Tag: 4})
+	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: SwapRule, Sym1: 0, Weight: p.AddWeight([]uint64{1}), Tag: 1})
+	p.AddRule(Rule{FromState: 1, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: p.AddWeight([]uint64{1}), Tag: 2})
+	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 2, Kind: SwapRule, Sym1: 0, Weight: p.AddWeight([]uint64{5}), Tag: 3})
+	p.AddRule(Rule{FromState: 2, FromSym: 0, ToState: 3, Kind: SwapRule, Sym1: 0, Weight: p.AddWeight([]uint64{5}), Tag: 4})
 	init := singleInit(p, 0, []Sym{0, 1})
 	res, err := Poststar(p, init, 1)
 	if err != nil {
@@ -341,7 +341,7 @@ func TestWeightedMinimum(t *testing.T) {
 	}
 	var sum uint64
 	for _, ri := range rules {
-		sum += p.Rules[ri].Weight[0]
+		sum += p.Weight(p.Rules[ri].Weight)[0]
 	}
 	if sum != 2 {
 		t.Fatalf("witness derivation weight = %d, want 2 (the cheap route)", sum)
@@ -354,9 +354,9 @@ func TestWeightedMinimum(t *testing.T) {
 func TestWeightedPushPop(t *testing.T) {
 	p := New(2, 2)
 	// ⟨0,⊥⟩ -> ⟨0, x ⊥⟩ cost 3
-	p.AddRule(Rule{FromState: 0, FromSym: 1, ToState: 0, Kind: PushRule, Sym1: 0, Sym2: 1, Weight: []uint64{3}})
+	p.AddRule(Rule{FromState: 0, FromSym: 1, ToState: 0, Kind: PushRule, Sym1: 0, Sym2: 1, Weight: p.AddWeight([]uint64{3})})
 	// ⟨0,x⟩ -> ⟨1, ε⟩ cost 1
-	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: PopRule, Weight: []uint64{1}})
+	p.AddRule(Rule{FromState: 0, FromSym: 0, ToState: 1, Kind: PopRule, Weight: p.AddWeight([]uint64{1})})
 	init := singleInit(p, 0, []Sym{1})
 	res, err := Poststar(p, init, 1)
 	if err != nil {

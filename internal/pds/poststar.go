@@ -303,7 +303,7 @@ func (r *postRun) epsOf(s State) []State {
 // witness record.
 func (r *postRun) apply(ri int32, t Trans, w []uint64, rec *Witness) {
 	rl := &r.p.Rules[ri]
-	nw := r.wts.add(w, ruleWeight(rl, r.dim))
+	nw := r.wts.add(w, r.ruleWeight(rl))
 	switch rl.Kind {
 	case PopRule:
 		r.push(Trans{rl.ToState, Eps, t.To}, nw, WitRule, ri, rl.FromSym, rec, nil)
@@ -400,11 +400,11 @@ func (r *postRun) finish(early bool) *Result {
 	return res
 }
 
-func ruleWeight(r *Rule, dim int) []uint64 {
-	if dim == 0 {
+func (r *postRun) ruleWeight(rl *Rule) []uint64 {
+	if r.dim == 0 {
 		return nil
 	}
-	return r.Weight
+	return r.p.Weight(rl.Weight)
 }
 
 // Accepted is a configuration found by FindAccepting, with the automaton

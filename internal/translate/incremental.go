@@ -33,7 +33,8 @@ var (
 // ruleBlock is the relocatable form of the rules one routing-table key
 // emits: chain states are stored relative to the block's first allocation
 // (encoded as baseCnt+offset, which cannot collide with base control
-// states), tags relative to the block's first Steps entry. Splicing a
+// states), tags relative to the block's first Steps entry, weight ids
+// relative to the block's first weight-table entry. Splicing a
 // block into a new build reproduces exactly the rules, state ids and step
 // tags a from-scratch build would emit for that key — provided the key's
 // routing content is unchanged, which the caller guarantees via the
@@ -41,7 +42,8 @@ var (
 type ruleBlock struct {
 	rules     []pds.Rule
 	steps     []StepInfo
-	numStates int // chain states the block allocates
+	weights   []uint64 // the weight vectors the block adds, concatenated in id order
+	numStates int      // chain states the block allocates
 }
 
 // BlockStore caches rule blocks for one (query, translate options) pair
@@ -149,17 +151,24 @@ func (b *builder) record(key routing.Key) *ruleBlock {
 	r0 := len(b.PDS.Rules)
 	s0 := b.PDS.NumStates
 	t0 := len(b.Steps)
+	w0 := b.PDS.NumWeights()
 	b.buildKey(key)
 	blk := &ruleBlock{
 		numStates: b.PDS.NumStates - s0,
 		steps:     append([]StepInfo(nil), b.Steps[t0:]...),
 		rules:     make([]pds.Rule, 0, len(b.PDS.Rules)-r0),
 	}
+	for id := w0 + 1; id <= b.PDS.NumWeights(); id++ {
+		blk.weights = append(blk.weights, b.PDS.Weight(pds.WeightID(id))...)
+	}
 	for _, r := range b.PDS.Rules[r0:] {
 		r.FromState = relocOut(r.FromState, s0, b.baseCnt)
 		r.ToState = relocOut(r.ToState, s0, b.baseCnt)
 		if r.Tag >= 0 {
 			r.Tag -= int32(t0)
+		}
+		if r.Weight != pds.NoWeight {
+			r.Weight -= pds.WeightID(w0)
 		}
 		blk.rules = append(blk.rules, r)
 	}
@@ -173,11 +182,18 @@ func (b *builder) splice(blk *ruleBlock) {
 		b.PDS.AddState()
 	}
 	t0 := int32(len(b.Steps))
+	w0 := pds.WeightID(b.PDS.NumWeights())
+	for i := 0; i < len(blk.weights); i += b.Dim {
+		b.PDS.AddWeight(blk.weights[i : i+b.Dim])
+	}
 	for _, r := range blk.rules {
 		r.FromState = relocIn(r.FromState, s0, b.baseCnt)
 		r.ToState = relocIn(r.ToState, s0, b.baseCnt)
 		if r.Tag >= 0 {
 			r.Tag += t0
+		}
+		if r.Weight != pds.NoWeight {
+			r.Weight += w0
 		}
 		b.PDS.AddRule(r)
 	}

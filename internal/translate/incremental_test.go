@@ -13,8 +13,8 @@ import (
 
 // sameSystem asserts that two builds of the same (network, query, options)
 // produced byte-identical pushdown systems: rules in the same order with
-// the same states, symbols, weights and tags, the same state count, step
-// table and final specification.
+// the same states, symbols, weight vectors and tags, the same state count,
+// step table and final specification.
 func sameSystem(t *testing.T, ctx string, got, want *translate.System) {
 	t.Helper()
 	if got.PDS.NumStates != want.PDS.NumStates {
@@ -22,6 +22,16 @@ func sameSystem(t *testing.T, ctx string, got, want *translate.System) {
 	}
 	if !reflect.DeepEqual(got.PDS.Rules, want.PDS.Rules) {
 		t.Errorf("%s: rules differ (%d vs %d)", ctx, len(got.PDS.Rules), len(want.PDS.Rules))
+	} else {
+		// Equal weight ids are not enough: each id must resolve to the same
+		// vector in its own system's weight table.
+		for i, r := range got.PDS.Rules {
+			gw, ww := got.PDS.Weight(r.Weight), want.PDS.Weight(want.PDS.Rules[i].Weight)
+			if !reflect.DeepEqual(gw, ww) {
+				t.Errorf("%s: rule %d weight %v, want %v", ctx, i, gw, ww)
+				break
+			}
+		}
 	}
 	if !reflect.DeepEqual(got.Steps, want.Steps) {
 		t.Errorf("%s: step tables differ", ctx)

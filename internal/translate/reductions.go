@@ -147,16 +147,7 @@ func (b *builder) reduce() {
 	}
 
 	// Prune rules with unreachable heads, preserving order (tags stay
-	// valid: they index b.Steps, not rules).
-	kept := p.Rules[:0]
-	for _, r := range p.Rules {
-		if tops[r.FromState].has(r.FromSym) {
-			kept = append(kept, r)
-		}
-	}
-	p.Rules = kept
-	// Invalidate indices built over the old rule slice.
-	rebuilt := pds.New(p.NumStates, p.NumSyms)
-	rebuilt.Rules = kept
-	*p = *rebuilt
+	// valid: they index b.Steps, not rules; weight ids index the PDS's
+	// weight table, which Filter keeps).
+	p.Filter(func(r *pds.Rule) bool { return tops[r.FromState].has(r.FromSym) })
 }

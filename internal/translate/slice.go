@@ -98,19 +98,17 @@ func ComputeSlice(net *network.Network, q *query.Query) *Slice {
 	k := q.MaxFailures
 	outs := make([][]topology.LinkID, nl)
 	seen := make([]int, nl) // per-out-link dedup stamp, generation = in-link+1
+	var buf []topology.LinkID
 	net.Routing.Range(func(key routing.Key, gs routing.Groups) bool {
 		gen := int(key.In) + 1
-		for j := range gs {
-			if len(gs.PrefixLinks(j)) > k {
-				break // prefixes only grow with j
-			}
+		buf = budgetGroups(gs, k, buf, func(j, _ int) {
 			for _, entry := range gs[j].Entries {
 				if seen[entry.Out] != gen {
 					seen[entry.Out] = gen
 					outs[key.In] = append(outs[key.In], entry.Out)
 				}
 			}
-		}
+		})
 		return true
 	})
 

@@ -17,7 +17,7 @@
 package translate
 
 import (
-	"sort"
+	"slices"
 
 	"aalwines/internal/labels"
 	"aalwines/internal/network"
@@ -113,13 +113,12 @@ func Build(net *network.Network, q *query.Query, opts Options) *System {
 type builder struct {
 	*System
 	pathNFA *nfa.NFA
-	dedup   map[ruleKey]bool
 	slice   *Slice
 
-	// Scratch buffers reused across buildEntry calls (the per-call map and
-	// slice allocations dominated the translation profile at paper scale).
-	seenTargets map[int]bool
-	targets     []int
+	// Scratch buffers reused across keys and entries: per-call allocations
+	// dominated the translation profile at paper scale.
+	succBuf []int32
+	failBuf []topology.LinkID
 
 	// Incremental-build hooks (nil for a plain Build): store caches
 	// relocatable per-key rule blocks, version maps a routing key to the
@@ -127,18 +126,6 @@ type builder struct {
 	store   *BlockStore
 	version func(routing.Key) uint64
 	stats   BuildStats
-}
-
-// ruleKey is a comparable projection of a rule (weights excluded: identical
-// rules always carry identical weights by construction).
-type ruleKey struct {
-	FromState pds.State
-	FromSym   pds.Sym
-	ToState   pds.State
-	Kind      pds.RuleKind
-	Sym1      pds.Sym
-	Sym2      pds.Sym
-	Tag       int32
 }
 
 // stateOf maps a base control state (incoming link, path-NFA state, failure
@@ -188,13 +175,7 @@ func (b *builder) construct() {
 	if b.Opts.Slice && b.store == nil {
 		b.slice = ComputeSlice(net, q)
 	}
-	if b.slice == nil {
-		// Unsliced builds emit at least one PDS rule per routing entry
-		// (usually a few); reserving the known lower bound up front skips
-		// the early append-doubling generations, which at >250k rules are
-		// the single largest allocation source of a build.
-		b.PDS.ReserveRules(net.Routing.NumRules())
-	}
+	b.reserve()
 	b.buildRules()
 	if b.slice != nil {
 		b.System.SliceStats = b.slice.Stats
@@ -285,40 +266,102 @@ func (b *builder) buildKey(key routing.Key) {
 	b.buildKeyGroups(key, b.Net.Routing.Lookup(key.In, key.Top))
 }
 
-// buildKeyGroups emits all rules of one routing-table key. The dedup map is
-// per-key: rules from different keys never collide (tags are globally
-// unique across used entries, and chain states are fresh per chain), so a
-// key-scoped map yields the same rule list as a build-global one while
-// making each key's emission independently cacheable. The map itself is
-// owned by the builder and cleared between keys: one allocation per build
-// instead of one per key (a quarter-million at paper scale).
+// buildKeyGroups emits all rules of one routing-table key. Emission never
+// produces the same rule twice, so rules are appended without a duplicate
+// check: rules from different keys differ in their tags or start at fresh
+// chain states; within a key, first rules differ in (from, to, tag), chain
+// rules start at fresh states, and candidates yields distinct labels.
+// TestNoDuplicateRules holds this across modes, weights and slicing.
 func (b *builder) buildKeyGroups(key routing.Key, gs routing.Groups) {
-	k := b.Query.MaxFailures
-	if b.dedup == nil {
-		b.dedup = make(map[ruleKey]bool, 64)
-	} else {
-		clear(b.dedup)
-	}
-	for j := range gs {
-		mustFail := gs.PrefixLinks(j)
-		if len(mustFail) > k {
-			break // prefixes only grow with j
-		}
+	b.failBuf = budgetGroups(gs, b.Query.MaxFailures, b.failBuf, func(j, nFail int) {
 		for _, entry := range gs[j].Entries {
-			b.buildEntry(key.In, key.Top, entry, j, len(mustFail))
+			b.buildEntry(key.In, key.Top, entry, j, nFail)
+		}
+	})
+}
+
+// budgetGroups calls fn(j, nFail) for every priority group j of gs whose
+// failure prefix (the distinct links of groups before j, see
+// Groups.PrefixLinks) has nFail ≤ k links, in priority order. Prefixes
+// only grow with j, so it stops at the first group over budget. buf is
+// scratch for the prefix; the grown buffer is returned for reuse.
+func budgetGroups(gs routing.Groups, k int, buf []topology.LinkID, fn func(j, nFail int)) []topology.LinkID {
+	buf = buf[:0]
+	for j := range gs {
+		if len(buf) > k {
+			break
+		}
+		fn(j, len(buf))
+		for _, e := range gs[j].Entries {
+			if !slices.Contains(buf, e.Out) {
+				buf = append(buf, e.Out)
+			}
 		}
 	}
+	return buf
+}
+
+// successors returns the distinct successor states of path-NFA state qb
+// on link e in ascending order, in a scratch buffer that the next call
+// overwrites. The fixed order keeps the rule order — and with it the
+// tie-breaks among equally minimal witnesses — the same for every build
+// of one (network, query).
+func (b *builder) successors(qb int, e topology.LinkID) []int32 {
+	out := b.succBuf[:0]
+	for _, arc := range b.pathNFA.Arcs(qb) {
+		if arc.Set.Has(nfa.Sym(e)) && !slices.Contains(out, int32(arc.To)) {
+			out = append(out, int32(arc.To))
+		}
+	}
+	slices.Sort(out)
+	b.succBuf = out
+	return out
+}
+
+// reserve pre-sizes the rule and step slices from counts known before
+// emission: every routing entry the build will visit adds at most one
+// step, and emits one rule per op (one for a pure forward) for each
+// successor pair and failure level it can fire under. The rule estimate is
+// exact unless a chain branches over an unknown top of stack. At paper
+// scale this replaces several append-doubling generations of two large
+// arrays with one allocation each.
+func (b *builder) reserve() {
+	k := b.Query.MaxFailures
+	steps, rules := 0, 0
+	b.Net.Routing.Range(func(key routing.Key, gs routing.Groups) bool {
+		if b.slice != nil && !b.slice.LiveLink(key.In) {
+			return true
+		}
+		b.failBuf = budgetGroups(gs, k, b.failBuf, func(j, nFail int) {
+			levels := 1
+			if b.Opts.Mode == Under {
+				levels = b.kBudget - nFail
+			}
+			for _, entry := range gs[j].Entries {
+				steps++
+				pairs := 0
+				for qb := 0; qb < b.numB; qb++ {
+					if b.slice == nil || b.slice.Live(key.In, qb) {
+						pairs += len(b.successors(qb, entry.Out))
+					}
+				}
+				rules += pairs * levels * max(1, len(entry.Ops))
+			}
+		})
+		return true
+	})
+	b.PDS.ReserveRules(rules)
+	b.Steps = make([]StepInfo, 0, steps)
 }
 
 // buildEntry emits rule chains for one routing entry across all path-NFA
 // transitions and failure budgets.
 func (b *builder) buildEntry(in topology.LinkID, top labels.ID, entry routing.Entry, group, nFail int) {
 	// Path-NFA moves on the outgoing link.
-	linkSym := nfa.Sym(entry.Out)
-	var w []uint64
+	var w pds.WeightID
 	if b.Opts.Spec != nil {
 		atoms := weight.StepAtoms(b.Net.Topo, entry.Out, b.Opts.Dist, nFail, entry.Ops.StackGrowth())
-		w = b.Opts.Spec.Eval(atoms)
+		w = b.PDS.AddWeight(b.Opts.Spec.Eval(atoms))
 	}
 	tag := int32(len(b.Steps))
 	used := false
@@ -328,25 +371,7 @@ func (b *builder) buildEntry(in topology.LinkID, top labels.ID, entry routing.En
 		if b.slice != nil && !b.slice.Live(in, qb) {
 			continue
 		}
-		// Collect distinct successor states in ascending order: map
-		// iteration order would make the rule order — and hence tie-breaks
-		// among equally minimal witnesses — vary between builds of the same
-		// (network, query), and batch results must reproduce serial ones.
-		if b.seenTargets == nil {
-			b.seenTargets = make(map[int]bool, 8)
-		} else {
-			clear(b.seenTargets)
-		}
-		targets := b.targets[:0]
-		for _, arc := range b.pathNFA.Arcs(qb) {
-			if arc.Set.Has(linkSym) && !b.seenTargets[arc.To] {
-				b.seenTargets[arc.To] = true
-				targets = append(targets, arc.To)
-			}
-		}
-		sort.Ints(targets)
-		b.targets = targets
-		for _, q2 := range targets {
+		for _, q2 := range b.successors(qb, entry.Out) {
 			for f := 0; f < b.kBudget; f++ {
 				f2 := f
 				if b.Opts.Mode == Under {
@@ -356,7 +381,7 @@ func (b *builder) buildEntry(in topology.LinkID, top labels.ID, entry routing.En
 					}
 				}
 				from := b.stateOf(in, qb, f)
-				to := b.stateOf(entry.Out, q2, f2)
+				to := b.stateOf(entry.Out, int(q2), f2)
 				init := symStack{known: []labels.ID{top}, tail: belowKinds(b.Net.Labels.Kind(top))}
 				if b.emitOps(from, init, entry.Ops, to, tag, w) {
 					used = true
@@ -373,18 +398,18 @@ func (b *builder) buildEntry(in topology.LinkID, top labels.ID, entry routing.En
 // branching over candidate symbols when the top of stack is unknown. It
 // reports whether at least one rule was emitted. Only the first rule of a
 // chain carries the tag and weight.
-func (b *builder) emitOps(cur pds.State, st symStack, ops routing.Ops, to pds.State, tag int32, w []uint64) bool {
+func (b *builder) emitOps(cur pds.State, st symStack, ops routing.Ops, to pds.State, tag int32, w pds.WeightID) bool {
 	if len(ops) == 0 {
 		// Forwarding without header rewrite: a no-op swap moves control.
-		any := false
-		for _, t := range b.candidates(st) {
-			any = b.addRule(pds.Rule{
+		cands := b.candidates(st)
+		for _, t := range cands {
+			b.PDS.AddRule(pds.Rule{
 				FromState: cur, FromSym: LabelSymOf(t),
 				ToState: to, Kind: pds.SwapRule, Sym1: LabelSymOf(t),
 				Weight: w, Tag: tag,
-			}) || any
+			})
 		}
-		return any
+		return len(cands) > 0
 	}
 	op := ops[0]
 	rest := ops[1:]
@@ -422,10 +447,10 @@ func (b *builder) emitOps(cur pds.State, st symStack, ops routing.Ops, to pds.St
 		rule.ToState = dst
 		rule.Weight = w
 		rule.Tag = tag
-		b.addRule(rule)
+		b.PDS.AddRule(rule)
 		emitted := true
 		if len(rest) > 0 {
-			emitted = b.emitOps(dst, next, rest, to, -1, nil)
+			emitted = b.emitOps(dst, next, rest, to, -1, pds.NoWeight)
 		}
 		any = any || emitted
 	}
@@ -470,18 +495,6 @@ func (st symStack) afterPop(t labels.ID, lt *labels.Table) symStack {
 	return symStack{known: nil, tail: belowKinds(lt.Kind(t))}
 }
 
-// addRule appends a rule unless an identical one exists; reports whether it
-// was added.
-func (b *builder) addRule(r pds.Rule) bool {
-	key := ruleKey{r.FromState, r.FromSym, r.ToState, r.Kind, r.Sym1, r.Sym2, r.Tag}
-	if b.dedup[key] {
-		return false
-	}
-	b.dedup[key] = true
-	b.PDS.AddRule(r)
-	return true
-}
-
 // buildFinal computes the final control states and the final stack
 // specification Lang(c)·⊥.
 func (b *builder) buildFinal() {
@@ -502,7 +515,7 @@ func (b *builder) buildFinal() {
 	botSet := nfa.SetOf(L+1, nfa.Sym(b.Bot))
 	for i := 0; i < post.NumStates(); i++ {
 		for _, arc := range post.Arcs(i) {
-			spec.AddArc(m[i], liftSet(arc.Set, L+1), m[arc.To])
+			spec.AddArc(m[i], arc.Set.Lift(L+1), m[arc.To])
 		}
 		if post.Accepting(i) {
 			spec.AddArc(m[i], botSet, final)
@@ -522,16 +535,6 @@ func (b *builder) buildFinal() {
 	}
 }
 
-// liftSet copies a symbol set into a larger universe.
-func liftSet(s *nfa.Set, universe int) *nfa.Set {
-	out := nfa.NewSet(universe)
-	s.Each(func(x nfa.Sym) bool {
-		out.Add(x)
-		return true
-	})
-	return out
-}
-
 // InitAuto builds the initial P-automaton: it accepts ⟨(e₁,q₁,0), h·⊥⟩ for
 // every link e₁ with δ_B(q₀,e₁) ∋ q₁ and every h ∈ Lang(a). In weighted
 // mode the first-symbol edges carry the first link's step weight (Links,
@@ -547,10 +550,24 @@ func (s *System) InitAuto() *pds.Auto {
 	}
 	botAccept := a.AddState()
 	a.SetAccept(botAccept, true)
-	// Interior and accepting structure of Lang(a).
+	// Interior and accepting structure of Lang(a). Each arc set is lifted
+	// into the stack alphabet and interned once; the start state's arcs
+	// are kept, since every entry edge below reuses their virtual symbols.
+	type startArc struct {
+		sym pds.Sym
+		to  pds.State
+	}
+	var starts []startArc
 	for i := 0; i < pre.NumStates(); i++ {
 		for _, arc := range pre.Arcs(i) {
-			a.AddSetEdge(m[i], liftSet(arc.Set, L+1), m[arc.To], nil)
+			if arc.Set.IsEmpty() {
+				continue
+			}
+			sym := a.VirtualSym(arc.Set.Lift(L + 1))
+			a.AddEdge(m[i], sym, m[arc.To])
+			if i == pre.Start() {
+				starts = append(starts, startArc{sym, m[arc.To]})
+			}
 		}
 		if pre.Accepting(i) {
 			a.AddEdge(m[i], s.Bot, botAccept)
@@ -564,16 +581,13 @@ func (s *System) InitAuto() *pds.Auto {
 			atoms := weight.StepAtoms(s.Net.Topo, topology.LinkID(e), s.Opts.Dist, 0, 0)
 			w = s.Opts.Spec.Eval(atoms)
 		}
-		var q1s []int
 		for _, arc := range s.Query.PathNFA.Arcs(bStart) {
-			if arc.Set.Has(nfa.Sym(e)) {
-				q1s = append(q1s, arc.To)
+			if !arc.Set.Has(nfa.Sym(e)) {
+				continue
 			}
-		}
-		for _, q1 := range q1s {
-			ctl := s.stateOf(topology.LinkID(e), q1, 0)
-			for _, arc := range pre.Arcs(pre.Start()) {
-				a.AddSetEdge(ctl, liftSet(arc.Set, L+1), m[arc.To], w)
+			ctl := s.stateOf(topology.LinkID(e), arc.To, 0)
+			for _, st := range starts {
+				a.AddEdgeW(ctl, st.sym, st.to, w)
 			}
 		}
 	}

@@ -106,12 +106,13 @@ func TestWeightedBuildAnnotatesRules(t *testing.T) {
 	withWeight := 0
 	var sawFailureCost bool
 	for _, r := range sys.PDS.Rules {
-		if r.Weight != nil {
-			if len(r.Weight) != 2 {
-				t.Fatalf("rule weight %v has wrong dim", r.Weight)
+		if r.Weight != pds.NoWeight {
+			w := sys.PDS.Weight(r.Weight)
+			if len(w) != 2 {
+				t.Fatalf("rule weight %v has wrong dim", w)
 			}
 			withWeight++
-			if r.Weight[1] > 0 {
+			if w[1] > 0 {
 				sawFailureCost = true
 			}
 		}
@@ -237,6 +238,64 @@ func TestStepsRecorded(t *testing.T) {
 	for _, r := range sys.PDS.Rules {
 		if r.Tag >= 0 && int(r.Tag) >= len(sys.Steps) {
 			t.Fatalf("rule tag %d out of range %d", r.Tag, len(sys.Steps))
+		}
+	}
+}
+
+// TestNoDuplicateRules guards emission without a duplicate check: on every
+// built-in network and query of its corpus, in both directions, weighted
+// and unweighted, sliced and unsliced, no two emitted rules are equal.
+// Rules are compared without their weight ids, which differ per routing
+// entry by construction and would hide a duplicate. Reductions are off so
+// every emitted rule is checked.
+func TestNoDuplicateRules(t *testing.T) {
+	re := gen.RunningExample()
+	zoo := gen.Zoo(gen.ZooOpts{Routers: 30, Seed: 1, Protection: true})
+	nord := gen.Nordunet(gen.NordOpts{Services: 2, EdgeRouters: 10, Seed: 1})
+	type corpus struct {
+		name  string
+		net   *network.Network
+		texts []string
+	}
+	corpora := []corpus{{"running-example", re.Network, []string{
+		"<ip> [.#v0] .* [v3#.] <ip> 0",
+		"<ip> [.#v0] [^v2#v3]* [v3#.] <ip> 2",
+		"<s40 ip> [.#v0] .* [v3#.] <smpls ip> 0",
+		"<s40 ip> [.#v0] .* [v3#.] <mpls+ smpls ip> 1",
+		"<smpls? ip> [.#v0] . . . .* [v3#.] <smpls? ip> 1",
+		"<ip> [.#v0] .* [v2#v4] .* [v3#.] <ip> 1",
+	}}, {"zoo", zoo.Net, nil}, {"nordunet", nord.Net, nil}}
+	for _, q := range zoo.Queries(12, 1) {
+		corpora[1].texts = append(corpora[1].texts, q.Text)
+	}
+	for _, q := range nord.Table1Queries() {
+		corpora[2].texts = append(corpora[2].texts, q.Text)
+	}
+	spec, err := weight.ParseSpec("Hops, Failures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[pds.Rule]int)
+	for _, c := range corpora {
+		for _, text := range c.texts {
+			q := mustParse(t, text, c.net)
+			for _, mode := range []translate.Mode{translate.Over, translate.Under} {
+				for _, sp := range []weight.Spec{nil, spec} {
+					for _, sliced := range []bool{false, true} {
+						opts := translate.Options{Mode: mode, Spec: sp, Slice: sliced, NoReductions: true}
+						sys := translate.Build(c.net, q, opts)
+						clear(seen)
+						for i, r := range sys.PDS.Rules {
+							r.Weight = pds.NoWeight
+							if j, dup := seen[r]; dup {
+								t.Fatalf("%s %q mode=%d weighted=%v sliced=%v: rules %d and %d are both %v (tag %d)",
+									c.name, text, mode, sp != nil, sliced, j, i, r, r.Tag)
+							}
+							seen[r] = i
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -77,7 +77,7 @@ func randomSystems(rng *rand.Rand) (*wpds.PDS[wpds.Dist], *pds.PDS) {
 			kind = wpds.Swap
 		}
 		r := wpds.Rule[wpds.Dist]{FromState: from, FromSym: fsym, ToState: to, Kind: kind, Weight: wpds.D(w)}
-		pr := pds.Rule{FromState: pds.State(from), FromSym: pds.Sym(fsym), ToState: pds.State(to), Weight: []uint64{w}}
+		pr := pds.Rule{FromState: pds.State(from), FromSym: pds.Sym(fsym), ToState: pds.State(to), Weight: pp.AddWeight([]uint64{w})}
 		switch kind {
 		case wpds.Pop:
 			pr.Kind = pds.PopRule

@@ -37,11 +37,11 @@
 //
 // Every error response, on every route, uses the same JSON envelope
 // {code, message, details?, stats?} — code is machine-readable
-// ("bad-request", "not-found", "session-not-found", "method-not-allowed",
-// "gone", "internal-error", "query-error", "budget-exhausted",
-// "deadline-exceeded", "cancelled"), details carries request-specific
-// context (e.g. the delta command that failed), and stats carries the
-// partial timings/sizes of an aborted verification. That includes routing
+// ("bad-request", "body-too-large", "not-found", "session-not-found",
+// "method-not-allowed", "gone", "internal-error", "query-error",
+// "budget-exhausted", "deadline-exceeded", "cancelled"), details carries
+// request-specific context (e.g. the delta command that failed), and stats
+// carries the partial timings/sizes of an aborted verification. That includes routing
 // misses: an unknown /api/... path or a wrong method gets the envelope,
 // not the Go mux's plain-text page, and a handler panic surfaces as a 500
 // "internal-error" envelope rather than an empty reply.
@@ -231,6 +231,32 @@ type ErrorStats struct {
 	Sizes    cli.Sizes   `json:"sizes"`
 }
 
+// maxBodyBytes bounds a JSON request body. The largest legitimate bodies
+// (a verify-batch of many queries, a long delta list) are a few KiB; the
+// bound keeps a hostile client from making the decoder buffer an
+// arbitrarily large body.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes the request body, read through an http.MaxBytesReader,
+// into v. On failure it writes the error envelope — 413 body-too-large for
+// a body over maxBodyBytes, 400 bad-request for malformed JSON — and
+// reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body-too-large",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	return false
+}
+
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorEnvelope{Code: code, Message: msg})
 }
@@ -377,8 +403,7 @@ func (s *Server) engineOptions(w http.ResponseWriter, net *network.Network,
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	net, runner := s.lookup(req.Network)
@@ -436,8 +461,7 @@ type VerifyBatchResponse struct {
 
 func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	var req VerifyBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	net, runner := s.lookup(req.Network)
@@ -509,8 +533,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Invariants) == 0 {
@@ -637,8 +660,7 @@ func sessionJSON(e *sessionEntry, withStats bool) SessionJSON {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	net, _ := s.lookup(req.Network)
@@ -780,8 +802,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionDeltasRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Commands) == 0 {
@@ -844,8 +865,7 @@ func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req VerifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -874,8 +894,7 @@ func (s *Server) handleSessionVerifyBatch(w http.ResponseWriter, r *http.Request
 		return
 	}
 	var req VerifyBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", "invalid JSON: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

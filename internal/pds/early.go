@@ -1,6 +1,7 @@
 package pds
 
 import (
+	"slices"
 	"sync"
 
 	"aalwines/internal/nfa"
@@ -22,7 +23,23 @@ type satScratch struct {
 	prodMark []uint32
 	prodGen  uint32
 	prodBuf  []prodNode
+
+	// Early-accept intersection memo. Within one post* run the virtual
+	// symbol sets and the final spec's arcs are fixed, so whether virtual
+	// symbol v's set meets the spec's k-th arc (arcs numbered state by
+	// state, arcBase[n] being state n's first) is decided once:
+	// interMemo[v*numArcs+k] is memoUnknown until the first check asks.
+	// The memo is all memoUnknown whenever the scratch sits in the pool.
+	arcBase   []int
+	numArcs   int
+	interMemo []uint8
 }
+
+const (
+	memoUnknown uint8 = iota
+	memoDisjoint
+	memoMeets
+)
 
 type prodNode struct {
 	s State
@@ -41,21 +58,61 @@ func getScratch() *satScratch {
 }
 
 func putScratch(sc *satScratch) {
+	sc.reset()
+	scratchPool.Put(sc)
+}
+
+// reset empties the scratch for its next run, keeping capacity. It clears
+// the intersection memo: the next run's virtual symbols and spec arcs
+// reuse the same ids for different sets.
+func (sc *satScratch) reset() {
 	sc.queue = sc.queue[:0]
 	for i := range sc.epsInto {
 		sc.epsInto[i] = sc.epsInto[i][:0]
 	}
 	sc.prodBuf = sc.prodBuf[:0]
-	scratchPool.Put(sc)
+	clear(sc.interMemo)
+	sc.interMemo = sc.interMemo[:0]
 }
 
-// epsIntoFor returns the ε-predecessor table sized for at least n states,
-// reusing the inner slices' capacity from previous runs.
+// epsIntoFor returns the ε-predecessor table sized for at least n states
+// in one step, reusing the inner slices' capacity from previous runs.
+// Entries past the table's length were never written (runs hand their
+// grown table back, so its length only rises), hence nil.
 func (sc *satScratch) epsIntoFor(n int) [][]State {
-	for len(sc.epsInto) < n {
-		sc.epsInto = append(sc.epsInto, nil)
+	if len(sc.epsInto) < n {
+		sc.epsInto = slices.Grow(sc.epsInto, n-len(sc.epsInto))[:n]
 	}
 	return sc.epsInto
+}
+
+// initInterMemo sizes the intersection memo for a run over automaton a
+// (whose virtual symbols are all interned before saturation starts) and
+// final spec.
+func (sc *satScratch) initInterMemo(a *Auto, spec *nfa.NFA) {
+	sc.arcBase = sc.arcBase[:0]
+	sc.numArcs = 0
+	for n := 0; n < spec.NumStates(); n++ {
+		sc.arcBase = append(sc.arcBase, sc.numArcs)
+		sc.numArcs += len(spec.Arcs(n))
+	}
+	need := len(a.sets) * sc.numArcs
+	sc.interMemo = slices.Grow(sc.interMemo, need)[:need]
+}
+
+// meets reports whether virtual symbol v's set intersects the k-th arc of
+// spec state n, consulting and filling the memo.
+func (sc *satScratch) meets(v int, set *nfa.Set, n, k int, arc nfa.Arc) bool {
+	i := v*sc.numArcs + sc.arcBase[n] + k
+	m := sc.interMemo[i]
+	if m == memoUnknown {
+		m = memoDisjoint
+		if set.Intersects(arc.Set) {
+			m = memoMeets
+		}
+		sc.interMemo[i] = m
+	}
+	return m == memoMeets
 }
 
 // nextProdGen advances the early-accept mark generation; on wrap the mark
@@ -79,11 +136,13 @@ func (sc *satScratch) nextProdGen() uint32 {
 // set-edge pairs with a spec arc iff the two sets intersect, exactly when
 // FindAccepting's Inter(...).First() succeeds. A positive answer therefore
 // guarantees FindAccepting finds an accepting configuration on the same
-// partially saturated automaton.
+// partially saturated automaton. The set-versus-arc intersections come from
+// the run's memo, which initInterMemo must have sized for a and spec.
 func acceptReachable(a *Auto, starts []State, specStarts []int, spec *nfa.NFA, sc *satScratch) bool {
 	ns := spec.NumStates()
-	for len(sc.prodMark) < a.numStates*ns {
-		sc.prodMark = append(sc.prodMark, 0)
+	if need, have := a.numStates*ns, len(sc.prodMark); have < need {
+		sc.prodMark = slices.Grow(sc.prodMark, need-have)[:need]
+		clear(sc.prodMark[have:])
 	}
 	gen := sc.nextProdGen()
 	stack := sc.prodBuf[:0]
@@ -114,9 +173,9 @@ func acceptReachable(a *Auto, starts []State, specStarts []int, spec *nfa.NFA, s
 				continue
 			}
 			set := a.SymSet(e.Sym)
-			for _, arc := range arcs {
+			for k, arc := range arcs {
 				if set != nil {
-					if !set.Intersects(arc.Set) {
+					if !sc.meets(int(e.Sym)-a.NumSyms, set, nd.n, k, arc) {
 						continue
 					}
 				} else if !arc.Set.Has(nfa.Sym(e.Sym)) {

@@ -48,7 +48,7 @@ func TestWeightTable(t *testing.T) {
 	p.AddRule(Rule{FromState: 0, ToState: 1, Kind: PopRule, Weight: a})
 	p.AddRule(Rule{FromState: 1, ToState: 0, Kind: PopRule, Weight: b})
 	p.Freeze()
-	p.Filter(func(r *Rule) bool { return r.FromState == 1 })
+	p.Filter(func(_ int, r *Rule) bool { return r.FromState == 1 })
 	if len(p.Rules) != 1 || !reflect.DeepEqual(p.Weight(p.Rules[0].Weight), []uint64{3, 4}) {
 		t.Fatalf("after Filter: rules %v, weight %v", p.Rules, p.Weight(p.Rules[0].Weight))
 	}

@@ -109,10 +109,7 @@ func (r *postRun) runParallel(parallelism int) (*Result, error) {
 	r.tally.parallel = true
 	// Workers read the rule indexes concurrently; build them now if a
 	// caller skipped Freeze.
-	if r.p.NumStates > 0 {
-		r.p.RulesFromState(0)
-		r.p.RulesFrom(0, 0)
-	}
+	r.p.Freeze()
 	pool := &parPool{
 		nw:      nw,
 		shards:  make([][]int32, nw),
@@ -222,7 +219,7 @@ func (p *parPool) speculate(pds *PDS, a *Auto) {
 // edges filter into the worker's arena.
 func matchRules(p *PDS, a *Auto, from State, sym Sym, ma *matchArena) ([]int32, int64) {
 	if set := a.SymSet(sym); set != nil {
-		rs := p.stateIdx[p.stateOff[from]:p.stateOff[from+1]]
+		rs := p.RulesFromState(from)
 		out := ma.alloc(len(rs))
 		for _, ri := range rs {
 			if set.Has(nfa.Sym(p.Rules[ri].FromSym)) {
@@ -231,7 +228,6 @@ func matchRules(p *PDS, a *Auto, from State, sym Sym, ma *matchArena) ([]int32, 
 		}
 		return out, int64(len(rs))
 	}
-	hr := p.byHead[headKey(from, sym)]
-	rs := p.headIdx[hr.off : hr.off+hr.n]
+	rs := p.RulesFrom(from, sym)
 	return rs, int64(len(rs))
 }

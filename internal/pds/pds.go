@@ -10,7 +10,9 @@
 package pds
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -91,26 +93,18 @@ type PDS struct {
 	weightDim int
 
 	// Packed rule indexes, built by Freeze or lazily on first use. Both
-	// are CSR-style: one flat int32 array of rule indices plus offsets,
-	// instead of the previous map-of-slices/slice-of-slices layout whose
-	// per-head slice headers and append regrowth dominated index memory at
-	// paper scale. stateIdx[stateOff[s]:stateOff[s+1]] lists the rules
-	// headed at state s; headIdx[r.off:r.off+r.n] those headed at a packed
-	// (state, symbol) pair — both in ascending rule order, which callers
-	// rely on for deterministic saturation.
+	// are CSR segments over one offset array: stateIdx[stateOff[s]:
+	// stateOff[s+1]] lists the rules headed at state s in ascending rule
+	// order; headIdx over the same range lists them ordered by (symbol,
+	// rule index), with headSym holding each entry's head symbol, so the
+	// rules of one head ⟨s,γ⟩ are a contiguous run found by binary search.
+	// Translation emits every state's rules in ascending symbol order, so
+	// headIdx normally aliases stateIdx; only a PDS with an unsorted
+	// segment (Moped import, hand-built tests) gets a re-sorted copy.
 	stateOff []int32
 	stateIdx []int32
-	byHead   map[uint64]headRange
 	headIdx  []int32
-}
-
-// headRange locates one head's rules inside headIdx.
-type headRange struct{ off, n int32 }
-
-// headKey packs a rule head into a collision-free map key: states and
-// symbols are both 32-bit.
-func headKey(s State, g Sym) uint64 {
-	return uint64(uint32(s))<<32 | uint64(g)
+	headSym  []Sym
 }
 
 // New returns an empty PDS with the given control state count and stack
@@ -122,6 +116,7 @@ func New(numStates, numSyms int) *PDS {
 // AddState appends a fresh control state and returns it.
 func (p *PDS) AddState() State {
 	p.NumStates++
+	p.dropIndex()
 	return State(p.NumStates - 1)
 }
 
@@ -134,8 +129,13 @@ func (p *PDS) AddRule(r Rule) {
 		panic(fmt.Sprintf("pds: rule %v references symbol outside [0,%d)", r, p.NumSyms))
 	}
 	p.Rules = append(p.Rules, r)
-	p.stateOff, p.stateIdx = nil, nil
-	p.byHead, p.headIdx = nil, nil
+	p.dropIndex()
+}
+
+// dropIndex discards the rule indexes after a mutation; the next lookup
+// (or Freeze) rebuilds them.
+func (p *PDS) dropIndex() {
+	p.stateOff, p.stateIdx, p.headIdx, p.headSym = nil, nil, nil, nil
 }
 
 // AddWeight appends a weight vector to the weight table and returns its id.
@@ -186,34 +186,38 @@ func (p *PDS) ReserveRules(n int) {
 	p.Rules = rules
 }
 
-// Filter keeps the rules for which keep returns true, preserving their
-// order, and drops the rule indexes built over the old rule list. The
-// weight table is kept: surviving rules still refer to it.
-func (p *PDS) Filter(keep func(r *Rule) bool) {
+// Filter keeps the rules for which keep(i, &Rules[i]) returns true,
+// preserving their order, and drops the rule indexes built over the old
+// rule list. The weight table is kept: surviving rules still refer to it.
+func (p *PDS) Filter(keep func(i int, r *Rule) bool) {
 	kept := p.Rules[:0]
 	for i := range p.Rules {
-		if keep(&p.Rules[i]) {
+		if keep(i, &p.Rules[i]) {
 			kept = append(kept, p.Rules[i])
 		}
 	}
 	p.Rules = kept
-	p.stateOff, p.stateIdx = nil, nil
-	p.byHead, p.headIdx = nil, nil
+	p.dropIndex()
 }
 
 // Freeze eagerly builds the rule indexes. A PDS shared by concurrent
 // readers (several saturations over one translated system) must be frozen
 // first: RulesFromState and RulesFrom otherwise build their indexes lazily
 // on first use, which is a data race when two saturators hit the same cold
-// index. AddRule after Freeze re-enters the lazy regime.
+// index. AddState, AddRule and Filter after Freeze re-enter the lazy
+// regime.
 func (p *PDS) Freeze() {
-	p.buildStateIdx()
-	p.buildHeadIdx()
+	if p.stateOff == nil {
+		p.buildIndex()
+	}
 }
 
-// buildStateIdx builds the by-state CSR: counting pass, prefix sums, then
-// a fill pass in rule order (which keeps each state's list ascending).
-func (p *PDS) buildStateIdx() {
+// buildIndex builds the by-state CSR — counting pass, prefix sums, then a
+// fill pass in rule order, which keeps each state's segment ascending —
+// and derives the by-head order from it. No hash map is involved: a
+// head's rules are found inside its state's segment by binary search over
+// headSym.
+func (p *PDS) buildIndex() {
 	off := make([]int32, p.NumStates+1)
 	for i := range p.Rules {
 		off[p.Rules[i].FromState+1]++
@@ -229,54 +233,83 @@ func (p *PDS) buildStateIdx() {
 		idx[cur[f]] = int32(i)
 		cur[f]++
 	}
-	p.stateOff, p.stateIdx = off, idx
+	syms := make([]Sym, len(idx))
+	sorted := true
+	for s := 0; s < p.NumStates; s++ {
+		for i := off[s]; i < off[s+1]; i++ {
+			syms[i] = p.Rules[idx[i]].FromSym
+			if i > off[s] && syms[i] < syms[i-1] {
+				sorted = false
+			}
+		}
+	}
+	head := idx
+	if !sorted {
+		head = p.sortedHeads(off, idx, syms)
+	}
+	p.stateOff, p.stateIdx, p.headIdx, p.headSym = off, idx, head, syms
 }
 
-// buildHeadIdx builds the by-head index: per-head counts, offsets into one
-// flat array, then a fill pass in rule order. The map holds fixed-size
-// ranges, not slices, so there is exactly one backing allocation however
-// many heads exist.
-func (p *PDS) buildHeadIdx() {
-	byHead := make(map[uint64]headRange, len(p.Rules))
-	for i := range p.Rules {
-		k := headKey(p.Rules[i].FromState, p.Rules[i].FromSym)
-		hr := byHead[k]
-		hr.n++
-		byHead[k] = hr
+// sortedHeads returns a copy of the by-state array with every segment
+// ordered by (symbol, rule index), and rewrites syms to match. Segments
+// already in order are copied as they are.
+func (p *PDS) sortedHeads(off, idx []int32, syms []Sym) []int32 {
+	head := slices.Clone(idx)
+	for s := 0; s+1 < len(off); s++ {
+		seg := head[off[s]:off[s+1]]
+		if slices.IsSorted(syms[off[s]:off[s+1]]) {
+			continue
+		}
+		slices.SortFunc(seg, func(a, b int32) int {
+			if c := cmp.Compare(p.Rules[a].FromSym, p.Rules[b].FromSym); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for i, ri := range seg {
+			syms[int(off[s])+i] = p.Rules[ri].FromSym
+		}
 	}
-	var off int32
-	for k, hr := range byHead {
-		n := hr.n
-		byHead[k] = headRange{off: off, n: 0}
-		off += n
-	}
-	idx := make([]int32, len(p.Rules))
-	for i := range p.Rules {
-		k := headKey(p.Rules[i].FromState, p.Rules[i].FromSym)
-		hr := byHead[k]
-		idx[hr.off+hr.n] = int32(i)
-		hr.n++
-		byHead[k] = hr
-	}
-	p.byHead, p.headIdx = byHead, idx
+	return head
 }
 
-// RulesFromState returns the indices of rules whose head state is s; used
-// when matching rules against symbol-set transitions.
+// RulesFromState returns the indices of rules whose head state is s, in
+// ascending rule order; used when matching rules against symbol-set
+// transitions.
 func (p *PDS) RulesFromState(s State) []int32 {
 	if p.stateOff == nil {
-		p.buildStateIdx()
+		p.buildIndex()
 	}
 	return p.stateIdx[p.stateOff[s]:p.stateOff[s+1]]
 }
 
-// RulesFrom returns the indices of rules with head ⟨s,γ⟩.
+// RulesFrom returns the indices of rules with head ⟨s,γ⟩, in ascending
+// rule order: the run of γ inside s's by-head segment, located by two
+// binary searches (lower and upper bound) over the segment's symbols.
 func (p *PDS) RulesFrom(s State, g Sym) []int32 {
-	if p.byHead == nil {
-		p.buildHeadIdx()
+	if p.stateOff == nil {
+		p.buildIndex()
 	}
-	hr := p.byHead[headKey(s, g)]
-	return p.headIdx[hr.off : hr.off+hr.n]
+	lo, hi := int(p.stateOff[s]), int(p.stateOff[s+1])
+	syms := p.headSym
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if syms[m] < g {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	end := lo
+	for hi = int(p.stateOff[s+1]); end < hi; {
+		m := int(uint(end+hi) >> 1)
+		if syms[m] <= g {
+			end = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return p.headIdx[lo:end]
 }
 
 // Stats summarises a PDS for diagnostics and the reduction reports.

@@ -150,11 +150,21 @@ func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 	if err := init.Validate(); err != nil {
 		return nil, err
 	}
-	r := &postRun{p: p, a: init, o: o, dim: o.Dim, sc: getScratch(), nextCheck: firstCheck}
-	r.queue, r.head = r.sc.queue[:0], 0
+	sc := getScratch()
+	defer putScratch(sc)
+	return poststarWith(p, init, o, sc)
+}
+
+// poststarWith runs post* on the scratch sc and hands the buffers it grew
+// back to it.
+func poststarWith(p *PDS, init *Auto, o SatOptions, sc *satScratch) (*Result, error) {
+	r := &postRun{p: p, a: init, o: o, dim: o.Dim, sc: sc, nextCheck: firstCheck}
+	r.queue, r.head = sc.queue[:0], 0
 	defer func() {
-		r.sc.queue = r.queue
-		putScratch(r.sc)
+		sc.queue = r.queue
+		if len(r.epsInto) > len(sc.epsInto) {
+			sc.epsInto = r.epsInto
+		}
 		r.tally.probes += r.a.takeProbes()
 		r.tally.flushPost()
 	}()
@@ -172,6 +182,7 @@ func PoststarOpts(p *PDS, init *Auto, o SatOptions) (*Result, error) {
 	r.earlyOK = o.EarlyAccept && r.dim == 0 && o.FinalSpec != nil && len(o.FinalStates) > 0
 	if r.earlyOK {
 		r.specStarts = o.FinalSpec.EpsClosure(o.FinalSpec.Start())
+		r.sc.initInterMemo(r.a, o.FinalSpec)
 		if acceptReachable(r.a, o.FinalStates, r.specStarts, o.FinalSpec, r.sc) {
 			r.tally.earlyAccepts = 1
 			return r.finish(true), nil
